@@ -68,18 +68,18 @@ std::uint8_t encode_block(std::span<const T> data, size_t n, size_t block,
   const size_t begin = block * L;
   const size_t len = std::min<size_t>(L, n - begin);
   elems = len;
-  std::vector<T> padded(L, T{0});
-  std::copy(data.begin() + static_cast<long>(begin),
-            data.begin() + static_cast<long>(begin + len), padded.begin());
   scratch.quant.resize(L);
   scratch.mags.resize(L);
-  scratch.signs.assign(L / 8, byte_t{0});
-  quantize(std::span<const T>(padded), eb, scratch.quant);
+  scratch.signs.resize(L / 8);
+  // Quantize straight from the input; a tail block's padding is zero.
+  const std::span<std::int32_t> quant(scratch.quant);
+  quantize(data.subspan(begin, len), eb, quant.first(len));
+  std::fill(quant.begin() + static_cast<long>(len), quant.end(), 0);
   if (params.lorenzo) {
     if (params.lorenzo_layers == 2) {
-      lorenzo2_forward(scratch.quant);
+      lorenzo2_forward(quant);
     } else {
-      lorenzo_forward(scratch.quant);
+      lorenzo_forward(quant);
     }
   }
   stage.split(obs::hostprof::Bucket::kFE);
@@ -172,5 +172,25 @@ void read_block_payload(std::span<const byte_t> src, std::uint8_t length_byte,
   }
   apply_signs(scratch.mags, src.first(groups), scratch.quant);
 }
+
+template <typename T>
+void reconstruct_block(BlockScratch& scratch, const Header& h, size_t from,
+                       std::span<T> out) {
+  const std::span<std::int32_t> quant =
+      std::span(scratch.quant).first(from + out.size());
+  if (h.lorenzo()) {
+    if (h.lorenzo2()) {
+      lorenzo2_inverse(quant);
+    } else {
+      lorenzo_inverse(quant);
+    }
+  }
+  dequantize(quant.subspan(from), h.eb_abs, out);
+}
+
+template void reconstruct_block<float>(BlockScratch&, const Header&, size_t,
+                                       std::span<float>);
+template void reconstruct_block<double>(BlockScratch&, const Header&, size_t,
+                                        std::span<double>);
 
 }  // namespace szp::core

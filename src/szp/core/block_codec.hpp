@@ -45,7 +45,9 @@ inline constexpr unsigned kMaxFixedLength = 32;
   return block_cmp_bytes(length_byte, block_len, zero_bypass);
 }
 
-/// Reusable per-block scratch (one per lane / per worker).
+/// Reusable per-block scratch (one per lane / per worker). `quant` and
+/// `mags` hold L elements after any encode or read, `signs` L/8 bytes
+/// after an encode.
 struct BlockScratch {
   std::vector<std::int32_t> quant;
   std::vector<std::uint32_t> mags;
@@ -58,7 +60,9 @@ struct BlockScratch {
 
 /// Quantize + predict + select the fixed length for one block of `len`
 /// valid elements starting at data[block*L] (tail padded with zeros).
-/// Returns the length byte and fills `scratch`. Works for f32/f64.
+/// Returns the length byte and fills `scratch`. Works for f32/f64. The
+/// scratch vectors are sized to L once and reused, so only the first call
+/// for a given L allocates.
 template <typename T>
 [[nodiscard]] std::uint8_t encode_block(std::span<const T> data, size_t n,
                                         size_t block, unsigned L, double eb,
@@ -78,5 +82,12 @@ void write_block_payload(const BlockScratch& scratch, std::uint8_t length_byte,
 /// the Lorenzo inverse / dequantization).
 void read_block_payload(std::span<const byte_t> src, std::uint8_t length_byte,
                         unsigned L, bool shuffle, BlockScratch& scratch);
+
+/// Finish a block read by read_block_payload: undo the stream's Lorenzo
+/// prediction and dequantize elements [from, from + out.size()) of the
+/// block straight into `out` (prediction is undone over that prefix only).
+template <typename T>
+void reconstruct_block(BlockScratch& scratch, const Header& h, size_t from,
+                       std::span<T> out);
 
 }  // namespace szp::core

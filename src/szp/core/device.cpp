@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "szp/core/block_codec.hpp"
-#include "szp/core/stages.hpp"
 #include "szp/gpusim/launch.hpp"
 #include "szp/gpusim/scan.hpp"
 #include "szp/gpusim/view.hpp"
@@ -185,7 +184,9 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
         h.serialize(sv.store_span(0, Header::kSize));
         ctx.write(gs::Stage::kOther, Header::kSize);
       }
-      std::array<BlockScratch, w::kWarpSize> scratch;
+      // Per worker thread and reused across warps and launches: a block
+      // body runs to completion on one worker, so nothing else touches it.
+      static thread_local std::array<BlockScratch, w::kWarpSize> scratch;
       std::array<std::uint8_t, w::kWarpSize> lbs{};
       w::Lanes<std::uint64_t> lane_len{};
       size_t elems = 0, nonzero_elems = 0, payload_bytes = 0;
@@ -297,7 +298,7 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
         h.serialize(sv.store_span(0, Header::kSize));
         ctx.write(gs::Stage::kOther, Header::kSize);
       }
-      BlockScratch scratch;
+      static thread_local BlockScratch scratch;  // per worker, as above
       size_t elems = 0, nonzero_elems = 0;
       const size_t first_block = ctx.block_idx * kBlocksPerWarp;
       const size_t in_begin = std::min(n, first_block * L);
@@ -342,7 +343,7 @@ DeviceCodecResult compress_device_impl(gs::Device& dev,
       const auto dv = gs::device_view(in, ctx);
       const auto sv = gs::device_view(out, ctx);
       const auto lv = gs::device_view(lens, ctx);
-      BlockScratch scratch;
+      static thread_local BlockScratch scratch;  // per worker, as above
       size_t elems = 0, payload_bytes = 0;
       const size_t first_block = ctx.block_idx * kBlocksPerWarp;
       const size_t in_begin = std::min(n, first_block * L);
@@ -561,8 +562,7 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
     // the decode loop (inverse prediction + dequantize + store) is QP.
     const std::uint64_t sec0 = tm ? obs::now_ns() : 0;
     std::uint64_t bb_ns = 0;
-    BlockScratch scratch;
-    std::vector<T> block_out(L);
+    static thread_local BlockScratch scratch;  // per worker thread
     size_t elems = 0, payload_bytes = 0;
     for (unsigned lane = 0; lane < active; ++lane) {
       const size_t block = first_block + lane;
@@ -582,16 +582,7 @@ DeviceCodecResult decompress_device_impl(gs::Device& dev,
       read_block_payload(stream.subspan(off, lane_len[lane]), lbs[lane], L,
                          h.bit_shuffle(), scratch);
       if (tm) bb_ns += obs::now_ns() - lane_t0;
-      if (h.lorenzo()) {
-      if (h.lorenzo2()) {
-        lorenzo2_inverse(scratch.quant);
-      } else {
-        lorenzo_inverse(scratch.quant);
-      }
-    }
-      dequantize(scratch.quant, h.eb_abs, std::span<T>(block_out));
-      std::copy(block_out.begin(), block_out.begin() + len,
-                data.begin() + begin);
+      reconstruct_block(scratch, h, 0, data.subspan(begin, len));
       payload_bytes += lane_len[lane];
     }
     ctx.read(gs::Stage::kBitShuffle, payload_bytes);

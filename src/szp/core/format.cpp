@@ -1,6 +1,7 @@
 #include "szp/core/format.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <limits>
 
@@ -119,6 +120,11 @@ Header Header::deserialize(std::span<const byte_t> in) {
 double resolve_eb(const Params& p, double value_range) {
   p.validate();
   if (p.mode == ErrorMode::kAbs) return p.error_bound;
+  if (!std::isfinite(value_range)) {
+    throw format_error(
+        "REL error bound: value range is not finite (input holds a "
+        "non-finite value, NaN or Inf, or its range overflows)");
+  }
   const double eb = p.error_bound * value_range;
   if (eb <= 0) {
     // Constant dataset under REL: any positive bound reproduces it exactly.

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "szp/core/stages.hpp"
 #include "szp/obs/hostprof/hostprof.hpp"
 
 namespace szp::core {
@@ -36,6 +35,56 @@ size_t chunk_count(size_t nblocks, const Executor& exec) {
                                            std::max<size_t>(1, nblocks)));
 }
 
+/// Pass 1 of compression, shared with the size probe: per-block
+/// quantize/predict/encode over contiguous chunks, length bytes to
+/// `lengths`, each chunk's payloads appended to its arena. Then the global
+/// synchronization: an exclusive prefix sum over the chunk totals (block
+/// offsets within a chunk are implied by arena order). Returns the total
+/// payload bytes.
+template <typename T>
+std::uint64_t encode_chunks(std::span<const T> data, const Params& params,
+                            double eb_abs, Executor& exec,
+                            HostScratch& scratch, std::span<byte_t> lengths) {
+  const unsigned L = params.block_len;
+  const size_t n = data.size();
+  const size_t nblocks = num_blocks(n, L);
+  const size_t nchunks = chunk_count(nblocks, exec);
+  if (scratch.chunks.size() < nchunks) scratch.chunks.resize(nchunks);
+  scratch.chunk_bytes.assign(nchunks, 0);
+  scratch.chunk_offset.assign(nchunks, 0);
+
+  exec.run(nchunks, [&](size_t c) {
+    const BlockRange r = chunk_range(nblocks, nchunks, c);
+    HostScratch::Chunk& ch = scratch.chunks[c];
+    std::uint64_t used = 0;
+    for (size_t b = r.begin; b < r.end; ++b) {
+      size_t lane_elems = 0;
+      const std::uint8_t lb =
+          encode_block<T>(data, n, b, L, eb_abs, params, ch.block, lane_elems);
+      lengths[b] = lb;
+      const size_t cl = encoded_block_bytes(lb, L, params);
+      if (cl == 0) continue;
+      const hostprof::ScopedTimer bb(hostprof::Bucket::kBB);
+      // The arena keeps its size across calls (the vector's capacity grows
+      // geometrically), so steady-state blocks append without resizing;
+      // bytes past `used` are stale and never read.
+      if (used + cl > ch.payload.size()) ch.payload.resize(used + cl);
+      write_block_payload(ch.block, lb, L, params.bit_shuffle,
+                          std::span(ch.payload).subspan(used, cl));
+      used += cl;
+    }
+    scratch.chunk_bytes[c] = used;
+  });
+
+  std::uint64_t total = 0;
+  const hostprof::ScopedTimer gs(hostprof::Bucket::kGS);
+  for (size_t c = 0; c < nchunks; ++c) {
+    scratch.chunk_offset[c] = total;
+    total += scratch.chunk_bytes[c];
+  }
+  return total;
+}
+
 template <typename T>
 std::vector<byte_t> compress_impl(std::span<const T> data,
                                   const Params& params, double eb_abs,
@@ -46,11 +95,6 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   const size_t nblocks = num_blocks(n, L);
   const Header h = Header::make(params, n, eb_abs, std::is_same_v<T, double>);
 
-  const size_t nchunks = chunk_count(nblocks, exec);
-  if (scratch.chunks.size() < nchunks) scratch.chunks.resize(nchunks);
-  scratch.chunk_bytes.assign(nchunks, 0);
-  scratch.chunk_offset.assign(nchunks, 0);
-
   const size_t groups =
       num_checksum_groups(nblocks, params.checksum_group_blocks);
   const size_t footer_bytes =
@@ -60,39 +104,10 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   // chunk); payload bytes go to per-chunk arenas first because their final
   // offsets are only known after the prefix sum.
   std::vector<byte_t> out(payload_offset(nblocks), byte_t{0});
-
-  // Pass 1 (parallel): per-block quantize/predict/encode; lengths to the
-  // stream, payloads to the chunk arena.
-  exec.run(nchunks, [&](size_t c) {
-    const BlockRange r = chunk_range(nblocks, nchunks, c);
-    HostScratch::Chunk& ch = scratch.chunks[c];
-    ch.payload.clear();
-    for (size_t b = r.begin; b < r.end; ++b) {
-      size_t lane_elems = 0;
-      const std::uint8_t lb =
-          encode_block<T>(data, n, b, L, eb_abs, params, ch.block, lane_elems);
-      out[lengths_offset() + b] = lb;
-      const size_t cl = encoded_block_bytes(lb, L, params);
-      if (cl == 0) continue;
-      const hostprof::ScopedTimer bb(hostprof::Bucket::kBB);
-      const size_t at = ch.payload.size();
-      ch.payload.resize(at + cl, byte_t{0});
-      write_block_payload(ch.block, lb, L, params.bit_shuffle,
-                          std::span(ch.payload).subspan(at, cl));
-    }
-    scratch.chunk_bytes[c] = ch.payload.size();
-  });
-
-  // Global synchronization: exclusive prefix sum over the chunk totals
-  // (block offsets within a chunk are implied by arena order).
-  std::uint64_t total_payload = 0;
-  {
-    const hostprof::ScopedTimer gs(hostprof::Bucket::kGS);
-    for (size_t c = 0; c < nchunks; ++c) {
-      scratch.chunk_offset[c] = total_payload;
-      total_payload += scratch.chunk_bytes[c];
-    }
-  }
+  const size_t nchunks = chunk_count(nblocks, exec);
+  const std::uint64_t total_payload =
+      encode_chunks(data, params, eb_abs, exec, scratch,
+                    std::span(out).subspan(lengths_offset(), nblocks));
 
   const size_t base = payload_offset(nblocks);
   out.resize(base + total_payload + footer_bytes, byte_t{0});
@@ -102,11 +117,10 @@ std::vector<byte_t> compress_impl(std::span<const T> data,
   // offset — consecutive blocks are consecutive in the stream, so one
   // memcpy per chunk.
   exec.run(nchunks, [&](size_t c) {
-    const auto& payload = scratch.chunks[c].payload;
-    if (payload.empty()) return;
+    if (scratch.chunk_bytes[c] == 0) return;
     const hostprof::ScopedTimer bb(hostprof::Bucket::kBB);
-    std::memcpy(out.data() + base + scratch.chunk_offset[c], payload.data(),
-                payload.size());
+    std::memcpy(out.data() + base + scratch.chunk_offset[c],
+                scratch.chunks[c].payload.data(), scratch.chunk_bytes[c]);
   });
 
   if (h.checksummed()) {
@@ -204,12 +218,7 @@ std::vector<T> decompress_impl(std::span<const byte_t> stream, Executor& exec,
   // Parallel per-block decode into disjoint output ranges.
   exec.run(nchunks, [&](size_t c) {
     const BlockRange r = chunk_range(nblocks, nchunks, c);
-    HostScratch::Chunk& ch = scratch.chunks[c];
-    auto& block_out = [&]() -> std::vector<T>& {
-      if constexpr (std::is_same_v<T, double>) return ch.out_f64;
-      else return ch.out_f32;
-    }();
-    block_out.resize(L);
+    BlockScratch& bs = scratch.chunks[c].block;
     for (size_t b = r.begin; b < r.end; ++b) {
       const size_t begin = b * L;
       const size_t len = std::min<size_t>(L, n - begin);
@@ -220,18 +229,9 @@ std::vector<T> decompress_impl(std::span<const byte_t> stream, Executor& exec,
       // inverse and dequantize — the mirror of the compress-side split.
       hostprof::SplitTimer stage(hostprof::Bucket::kBB);
       read_block_payload(stream.subspan(base + scratch.offsets[b], cl), lb, L,
-                         h.bit_shuffle(), ch.block);
+                         h.bit_shuffle(), bs);
       stage.split(hostprof::Bucket::kQP);
-      if (h.lorenzo()) {
-        if (h.lorenzo2()) {
-          lorenzo2_inverse(ch.block.quant);
-        } else {
-          lorenzo_inverse(ch.block.quant);
-        }
-      }
-      dequantize(ch.block.quant, h.eb_abs, std::span<T>(block_out));
-      std::copy(block_out.begin(), block_out.begin() + len,
-                out.begin() + begin);
+      reconstruct_block(bs, h, 0, std::span(out).subspan(begin, len));
     }
   });
 
@@ -246,6 +246,40 @@ std::vector<T> decompress_impl(std::span<const byte_t> stream, Executor& exec,
   return out;
 }
 
+/// max - min in one pass of independent per-lane selects, so the loop
+/// vectorizes. Equal to std::minmax_element's (*max - *min) for finite
+/// input, down to the sign of a zero range (see the constant case).
+template <typename T>
+double value_range_impl(std::span<const T> data) {
+  if (data.empty()) return 0;
+  constexpr size_t kLanes = 16;
+  T mn[kLanes], mx[kLanes];
+  std::fill(std::begin(mn), std::end(mn), data[0]);
+  std::fill(std::begin(mx), std::end(mx), data[0]);
+  const size_t full = data.size() - data.size() % kLanes;
+  for (size_t i = 0; i < full; i += kLanes) {
+    for (size_t k = 0; k < kLanes; ++k) {
+      const T x = data[i + k];
+      mn[k] = x < mn[k] ? x : mn[k];
+      mx[k] = mx[k] < x ? x : mx[k];
+    }
+  }
+  for (size_t i = full; i < data.size(); ++i) {
+    mn[0] = data[i] < mn[0] ? data[i] : mn[0];
+    mx[0] = mx[0] < data[i] ? data[i] : mx[0];
+  }
+  for (size_t k = 1; k < kLanes; ++k) {
+    mn[0] = mn[k] < mn[0] ? mn[k] : mn[0];
+    mx[0] = mx[0] < mx[k] ? mx[k] : mx[0];
+  }
+  // A constant field: minmax_element pairs the first minimum with the last
+  // maximum, which only matters for the sign of a zero range (+0 vs -0).
+  if (mn[0] == mx[0]) {
+    return static_cast<double>(data.back()) - static_cast<double>(data.front());
+  }
+  return static_cast<double>(mx[0]) - static_cast<double>(mn[0]);
+}
+
 }  // namespace
 
 Executor& serial_executor() {
@@ -254,15 +288,11 @@ Executor& serial_executor() {
 }
 
 double value_range_of(std::span<const float> data) {
-  if (data.empty()) return 0;
-  const auto [mn, mx] = std::minmax_element(data.begin(), data.end());
-  return static_cast<double>(*mx) - static_cast<double>(*mn);
+  return value_range_impl(data);
 }
 
 double value_range_of(std::span<const double> data) {
-  if (data.empty()) return 0;
-  const auto [mn, mx] = std::minmax_element(data.begin(), data.end());
-  return *mx - *mn;
+  return value_range_impl(data);
 }
 
 std::vector<byte_t> compress_host(std::span<const float> data,
@@ -291,31 +321,14 @@ size_t compressed_bytes_probe(std::span<const float> data,
                               const Params& params, double eb_abs,
                               Executor& exec, HostScratch& scratch) {
   params.validate();
-  const unsigned L = params.block_len;
-  const size_t nblocks = num_blocks(data.size(), L);
-  const size_t nchunks = chunk_count(nblocks, exec);
-  if (scratch.chunks.size() < nchunks) scratch.chunks.resize(nchunks);
-  scratch.chunk_bytes.assign(nchunks, 0);
-  exec.run(nchunks, [&](size_t c) {
-    const BlockRange r = chunk_range(nblocks, nchunks, c);
-    HostScratch::Chunk& ch = scratch.chunks[c];
-    std::uint64_t bytes = 0;
-    for (size_t b = r.begin; b < r.end; ++b) {
-      size_t elems = 0;
-      const std::uint8_t lb = encode_block<float>(data, data.size(), b, L,
-                                                  eb_abs, params, ch.block,
-                                                  elems);
-      bytes += encoded_block_bytes(lb, L, params);
-    }
-    scratch.chunk_bytes[c] = bytes;
-  });
-  size_t total = payload_offset(nblocks);
-  for (size_t c = 0; c < nchunks; ++c) total += scratch.chunk_bytes[c];
-  if (params.checksum_group_blocks > 0) {
-    total += ChecksumFooter::bytes_for(
-        num_checksum_groups(nblocks, params.checksum_group_blocks));
-  }
-  return total;
+  const size_t nblocks = num_blocks(data.size(), params.block_len);
+  std::vector<byte_t> lengths(nblocks);
+  return payload_offset(nblocks) +
+         encode_chunks(data, params, eb_abs, exec, scratch, lengths) +
+         (params.checksum_group_blocks > 0
+              ? ChecksumFooter::bytes_for(num_checksum_groups(
+                    nblocks, params.checksum_group_blocks))
+              : 0);
 }
 
 }  // namespace szp::core

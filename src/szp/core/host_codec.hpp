@@ -46,9 +46,7 @@ struct HostScratch {
   /// payload arena that pass 1 fills and pass 2 scatters with one memcpy.
   struct Chunk {
     BlockScratch block;
-    std::vector<byte_t> payload;
-    std::vector<float> out_f32;    // one block of decoded values
-    std::vector<double> out_f64;
+    std::vector<byte_t> payload;  // only the pass's first chunk_bytes are live
   };
 
   std::vector<Chunk> chunks;
@@ -81,8 +79,9 @@ struct HostScratch {
 [[nodiscard]] std::vector<double> decompress_host_f64(
     std::span<const byte_t> stream, Executor& exec, HostScratch& scratch);
 
-/// Exact compressed size without materializing the stream (one
-/// quantization pass; parallelizes over the executor).
+/// Exact compressed size without materializing the stream: compression's
+/// pass 1 without the scatter, checksums or footer (parallelizes over the
+/// executor).
 [[nodiscard]] size_t compressed_bytes_probe(std::span<const float> data,
                                             const Params& params,
                                             double eb_abs, Executor& exec,

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "szp/core/block_codec.hpp"
-#include "szp/core/stages.hpp"
 
 namespace szp::core {
 
@@ -72,34 +71,21 @@ std::vector<float> decompress_range(std::span<const byte_t> stream,
 
   std::vector<float> out(end - begin, 0.0f);
   BlockScratch scratch;
-  std::vector<float> block_out(L);
 
   size_t off = plan.payload_base;
   for (size_t b = plan.first_block; b < plan.last_block; ++b) {
     const std::uint8_t lb = stream[lengths_offset() + b];
     const size_t cl = block_payload_bytes(lb, L, h.zero_block_bypass());
-    const size_t block_begin = b * L;
-    const size_t block_end =
-        std::min<size_t>(block_begin + L, h.num_elements);
-    if (cl != 0) {
+    if (cl != 0) {  // zero blocks: out is pre-zeroed
+      // Decode the intersection of this block with [begin, end).
+      const size_t block_begin = b * L;
+      const size_t from = std::max(block_begin, begin);
+      const size_t to =
+          std::min<size_t>({block_begin + L, h.num_elements, end});
       read_block_payload(stream.subspan(off, cl), lb, L, h.bit_shuffle(),
                          scratch);
-      if (h.lorenzo()) {
-      if (h.lorenzo2()) {
-        lorenzo2_inverse(scratch.quant);
-      } else {
-        lorenzo_inverse(scratch.quant);
-      }
-    }
-      dequantize(scratch.quant, h.eb_abs, std::span<float>(block_out));
-    } else {
-      std::fill(block_out.begin(), block_out.end(), 0.0f);
-    }
-    // Copy the intersection of this block with [begin, end).
-    const size_t copy_from = std::max(block_begin, begin);
-    const size_t copy_to = std::min(block_end, end);
-    for (size_t i = copy_from; i < copy_to; ++i) {
-      out[i - begin] = block_out[i - block_begin];
+      reconstruct_block(scratch, h, from - block_begin,
+                        std::span(out).subspan(from - begin, to - from));
     }
     off += cl;
   }

@@ -13,10 +13,12 @@ namespace szp::core {
 
 // ---------------------------------------------------------------- QP ----
 
-/// Pre-quantization (the only lossy step, §4.1): r_i = round(d_i / (2*eb)).
-/// Throws if a quantized magnitude cannot be represented (eb too small for
-/// the data's magnitude). `out.size() == in.size()`. f32 and f64 data are
-/// both supported (the quantization integers are int32 either way).
+/// Pre-quantization (the only lossy step, §4.1): r_i = round(d_i / (2*eb)),
+/// rounding half away from zero (std::llround's rule). Throws format_error
+/// for a NaN/Inf element, or when a quantized magnitude reaches 2^29 (eb
+/// too small for the data's magnitude); each cause has its own message.
+/// `out.size() == in.size()`. f32 and f64 data are both supported (the
+/// quantization integers are int32 either way).
 void quantize(std::span<const float> in, double eb_abs,
               std::span<std::int32_t> out);
 void quantize(std::span<const double> in, double eb_abs,
@@ -62,7 +64,7 @@ void apply_signs(std::span<const std::uint32_t> magnitudes,
 
 /// Block bit-shuffle (§4.4): write F bit planes of `magnitudes` into
 /// `out` (F * L/8 bytes). Plane k occupies L/8 bytes; byte j, bit e holds
-/// bit k of element 8j+e.
+/// bit k of element 8j+e. Bits at or above F are ignored. F <= 32.
 void bit_shuffle(std::span<const std::uint32_t> magnitudes, unsigned f,
                  std::span<byte_t> out);
 
@@ -71,7 +73,8 @@ void bit_unshuffle(std::span<const byte_t> in, unsigned f,
                    std::span<std::uint32_t> magnitudes);
 
 /// Direct (non-shuffled) packing for the BB ablation: F bits per element,
-/// LSB-first, into F * L/8 bytes.
+/// LSB-first, into F * L/8 bytes. bit_unpack throws format_error when F > 32
+/// or `in` is shorter than F * L/8.
 void bit_pack(std::span<const std::uint32_t> magnitudes, unsigned f,
               std::span<byte_t> out);
 void bit_unpack(std::span<const byte_t> in, unsigned f,

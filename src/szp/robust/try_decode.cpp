@@ -8,7 +8,6 @@
 #include "szp/core/block_codec.hpp"
 #include "szp/core/compressor.hpp"
 #include "szp/core/format.hpp"
-#include "szp/core/stages.hpp"
 #include "szp/obs/metrics.hpp"
 #include "szp/obs/telemetry/flight_recorder.hpp"
 #include "szp/obs/telemetry/telemetry.hpp"
@@ -139,27 +138,15 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
   };
 
   core::BlockScratch scratch;
-  std::vector<T> block_out(L);
-  // Decode one structurally validated block into the output.
+  // Decode one structurally validated block into the (pre-zeroed) output.
   auto decode_block = [&](size_t b, std::uint8_t lb, size_t off, size_t cl) {
-    if (cl != 0) {
-      core::read_block_payload(stream.subspan(off, cl), lb, L,
-                               h.bit_shuffle(), scratch);
-      if (h.lorenzo()) {
-        if (h.lorenzo2()) {
-          core::lorenzo2_inverse(scratch.quant);
-        } else {
-          core::lorenzo_inverse(scratch.quant);
-        }
-      }
-      core::dequantize(scratch.quant, h.eb_abs, std::span<T>(block_out));
-    } else {
-      std::fill(block_out.begin(), block_out.end(), T{0});
-    }
+    if (cl == 0) return;
+    core::read_block_payload(stream.subspan(off, cl), lb, L, h.bit_shuffle(),
+                             scratch);
     const size_t begin = b * L;
-    const size_t len = std::min<size_t>(L, n - begin);
-    std::copy(block_out.begin(), block_out.begin() + len,
-              out->begin() + begin);
+    core::reconstruct_block(
+        scratch, h, 0,
+        std::span(*out).subspan(begin, std::min<size_t>(L, n - begin)));
   };
 
   const auto block_bytes = [&](std::uint8_t lb) {
