@@ -1,11 +1,9 @@
 #include "szp/archive/archive_v2.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "szp/archive/layout.hpp"
-#include "szp/core/block_codec.hpp"
 #include "szp/core/random_access.hpp"
 #include "szp/engine/thread_pool.hpp"
 #include "szp/robust/try_decode.hpp"
@@ -284,76 +282,40 @@ std::vector<float> ArchiveReader::extract_range(size_t i, size_t begin,
     throw format_error("archive: entry '" + e.name + "' stream truncated");
   }
 
-  const auto header_bytes = read_exact(path, base, core::Header::kSize);
-  const core::Header h = core::Header::deserialize(header_bytes);
-  const size_t n = checked_cast<size_t>(h.num_elements);
-  if (begin > end || end > n) {
-    throw format_error("archive: range out of bounds for entry '" + e.name +
-                       "'");
-  }
-  const unsigned L = h.block_len;
-  const size_t nblocks = core::num_blocks(n, L);
+  // Four reads: header, length bytes, the payload of the checksum groups
+  // covering the range, footer. core checks them all as it would a whole
+  // stream (every length byte, the footer's location and self-CRC, the
+  // covering groups' offsets and CRCs) without a stream-sized buffer.
+  const auto header = read_exact(path, base, core::Header::kSize);
+  const core::Header h = core::Header::deserialize(header);
+  const size_t nblocks = core::num_blocks(
+      checked_cast<size_t>(h.num_elements), h.block_len);
   if (stream_bytes < core::payload_offset(nblocks)) {
     throw format_error("archive: entry '" + e.name + "' stream truncated");
   }
   const auto lengths =
       read_exact(path, base + core::lengths_offset(), nblocks);
+  core::StreamView view;
+  view.header = header;
+  view.lengths = lengths;
+  view.stream_bytes = stream_bytes;
+  const core::RangePlan plan = core::plan_range(view, begin, end);
 
-  // Blocks the range touches, widened to whole checksum groups so the
-  // sparse stream still carries everything decompress_range verifies.
-  const size_t first_block = begin == end ? 0 : begin / L;
-  const size_t last_block = begin == end ? 0 : div_ceil(end, size_t{L});
-  size_t cover_first = first_block;
-  size_t cover_last = last_block;
-  if (h.checksummed() && h.checksum_group_blocks > 0 && last_block > 0) {
-    const size_t gb = h.checksum_group_blocks;
-    cover_first = (first_block / gb) * gb;
-    cover_last = std::min(nblocks, div_ceil(last_block, gb) * gb);
+  std::vector<byte_t> payload;
+  if (plan.payload_end > plan.payload_begin) {
+    payload = read_exact(
+        path, base + core::payload_offset(nblocks) + plan.payload_begin,
+        checked_cast<size_t>(plan.payload_end - plan.payload_begin));
   }
-
-  size_t skip_bytes = 0;    // payload before the covered span
-  size_t cover_bytes = 0;   // payload of the covered span
-  size_t total_bytes = 0;   // payload of all blocks (locates the footer)
-  for (size_t b = 0; b < nblocks; ++b) {
-    const std::uint8_t lb = static_cast<std::uint8_t>(lengths[b]);
-    if (!core::valid_length_byte(lb)) {
-      throw format_error("archive: entry '" + e.name +
-                         "' has an invalid length byte");
-    }
-    const size_t cl = core::block_payload_bytes(lb, L, h.zero_block_bypass());
-    if (b < cover_first) {
-      skip_bytes += cl;
-    } else if (b < cover_last) {
-      cover_bytes += cl;
-    }
-    total_bytes += cl;
+  view.payload = payload;
+  view.payload_start = plan.payload_begin;
+  std::vector<byte_t> footer;
+  if (h.checksummed()) {
+    footer = read_exact(path, base + plan.footer_offset,
+                        stream_bytes - checked_cast<size_t>(plan.footer_offset));
   }
-  const size_t payload_base = core::payload_offset(nblocks);
-  const size_t footer_off = payload_base + total_bytes;
-  if (footer_off > stream_bytes) {
-    throw format_error("archive: entry '" + e.name + "' stream truncated");
-  }
-
-  // Assemble a sparse stream: real header, length bytes, covered payload
-  // and footer; everything else zero-filled (never dereferenced, because
-  // decompress_range only reads the requested blocks and only checks the
-  // covering groups' CRCs).
-  std::vector<byte_t> sparse(stream_bytes, byte_t{0});
-  std::memcpy(sparse.data(), header_bytes.data(), header_bytes.size());
-  std::memcpy(sparse.data() + core::lengths_offset(), lengths.data(),
-              lengths.size());
-  if (cover_bytes > 0) {
-    const auto payload =
-        read_exact(path, base + payload_base + skip_bytes, cover_bytes);
-    std::memcpy(sparse.data() + payload_base + skip_bytes, payload.data(),
-                payload.size());
-  }
-  if (h.checksummed() && footer_off < stream_bytes) {
-    const auto footer =
-        read_exact(path, base + footer_off, stream_bytes - footer_off);
-    std::memcpy(sparse.data() + footer_off, footer.data(), footer.size());
-  }
-  return core::decompress_range(sparse, begin, end);
+  view.footer = footer;
+  return core::decompress_range(view, plan);
 }
 
 robust::DecodeReport ArchiveReader::try_extract(

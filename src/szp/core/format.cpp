@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <stdexcept>
 
 #include "szp/core/block_codec.hpp"
 #include "szp/util/bytestream.hpp"
@@ -182,6 +183,120 @@ ChecksumFooter ChecksumFooter::deserialize(std::span<const byte_t> in) {
   return f;
 }
 
+// ------------------------------------------------------ length scan ----
+
+namespace {
+
+/// Per-byte counts of a run of length bytes. `max_masked` is the largest
+/// byte with the outlier flag cleared: every byte is valid iff it is at
+/// most kMaxFixedLength (0..32 and 64..96 map to 0..32; 33..63, 97..127
+/// and anything with the top bit set do not).
+struct LengthSums {
+  std::uint64_t fixed = 0;    // sum of F (the byte with the flag cleared)
+  std::uint64_t zero = 0;     // zero bytes
+  std::uint64_t outlier = 0;  // bytes with the outlier flag
+  std::uint8_t max_masked = 0;
+};
+
+constexpr std::uint8_t kFlagMask =
+    static_cast<std::uint8_t>(~kOutlierFlag);
+// A tile is kSteps rows of one 16-byte vector. Each lane sums at most
+// kSteps values of F <= 32 into a byte (invalid bytes may wrap, but they
+// fail the max check regardless), then the tile widens once into u32
+// lanes. The branch-free loops vectorize under GCC's -O2 cost model.
+constexpr size_t kLanes = 16;
+constexpr size_t kSteps = 4;
+constexpr size_t kTile = kLanes * kSteps;
+
+LengthSums sum_lengths(const byte_t* p, size_t len) {
+  std::uint32_t fixed[kLanes] = {}, zero[kLanes] = {}, outlier[kLanes] = {};
+  std::uint8_t mx[kLanes] = {};
+  const size_t full = len - len % kTile;
+  for (size_t t = 0; t < full; t += kTile) {
+    std::uint8_t f[kLanes] = {}, z[kLanes] = {}, o[kLanes] = {};
+    for (size_t s = 0; s < kSteps; ++s) {
+      for (size_t k = 0; k < kLanes; ++k) {
+        const std::uint8_t lb = p[t + s * kLanes + k];
+        const std::uint8_t v = lb & kFlagMask;
+        mx[k] = std::max(mx[k], v);
+        f[k] = static_cast<std::uint8_t>(f[k] + v);
+        z[k] = static_cast<std::uint8_t>(z[k] + (lb == 0));
+        o[k] = static_cast<std::uint8_t>(o[k] + (lb >= kOutlierFlag));
+      }
+    }
+    for (size_t k = 0; k < kLanes; ++k) {
+      fixed[k] += f[k];
+      zero[k] += z[k];
+      outlier[k] += o[k];
+    }
+  }
+  LengthSums s;
+  for (size_t k = 0; k < kLanes; ++k) {
+    s.fixed += fixed[k];
+    s.zero += zero[k];
+    s.outlier += outlier[k];
+    s.max_masked = std::max(s.max_masked, mx[k]);
+  }
+  for (size_t i = full; i < len; ++i) {
+    const std::uint8_t v = p[i] & kFlagMask;
+    s.max_masked = std::max(s.max_masked, v);
+    s.fixed += v;
+    s.zero += p[i] == 0;
+    s.outlier += p[i] >= kOutlierFlag;
+  }
+  return s;
+}
+
+/// Payload bytes of `count` valid blocks with sums `s`.
+std::uint64_t payload_of(const LengthSums& s, size_t count, unsigned block_len,
+                         bool zero_bypass) {
+  const std::uint64_t sign_maps = zero_bypass ? count - s.zero : count;
+  return block_len / 8 * (s.fixed + sign_maps) +
+         kOutlierExtraBytes * s.outlier;
+}
+
+}  // namespace
+
+LengthScan scan_lengths(std::span<const byte_t> lengths, unsigned block_len,
+                        bool zero_bypass, unsigned group_blocks) {
+  if (group_blocks == 0) {
+    throw std::invalid_argument("scan_lengths: group_blocks must be positive");
+  }
+  LengthScan scan;
+  scan.block_len = block_len;
+  scan.zero_bypass = zero_bypass;
+  scan.group_blocks = group_blocks;
+  scan.group_begin.resize(div_ceil(lengths.size(), size_t{group_blocks}));
+  std::uint8_t max_masked = 0;
+  std::uint64_t off = 0;
+  for (size_t g = 0; g < scan.group_begin.size(); ++g) {
+    const size_t first = g * group_blocks;
+    const size_t count = std::min<size_t>(group_blocks, lengths.size() - first);
+    const LengthSums s = sum_lengths(lengths.data() + first, count);
+    scan.group_begin[g] = off;
+    off += payload_of(s, count, block_len, zero_bypass);
+    max_masked = std::max(max_masked, s.max_masked);
+    scan.zero_blocks += s.zero;
+    scan.outlier_blocks += s.outlier;
+    scan.fixed_length_sum += s.fixed;
+  }
+  scan.payload_bytes = off;
+  scan.valid = max_masked <= kMaxFixedLength;
+  return scan;
+}
+
+std::uint64_t LengthScan::block_offset(std::span<const byte_t> lengths,
+                                       size_t block) const {
+  if (block >= lengths.size()) return payload_bytes;
+  const size_t g = block / group_blocks;
+  const size_t first = g * group_blocks;
+  return group_begin[g] +
+         payload_of(sum_lengths(lengths.data() + first, block - first),
+                    block - first, block_len, zero_bypass);
+}
+
+// -------------------------------------------------- checksum groups ----
+
 std::vector<GroupSpan> checksum_group_spans(std::span<const byte_t> stream,
                                             const Header& h,
                                             unsigned group_blocks) {
@@ -189,27 +304,23 @@ std::vector<GroupSpan> checksum_group_spans(std::span<const byte_t> stream,
   if (stream.size() < payload_offset(nblocks)) {
     throw format_error("checksum_group_spans: truncated length area");
   }
-  const size_t groups = num_checksum_groups(nblocks, group_blocks);
-  std::vector<GroupSpan> spans;
-  spans.reserve(groups);
-  size_t off = payload_offset(nblocks);
-  for (size_t g = 0; g < groups; ++g) {
-    GroupSpan s;
-    s.first_block = g * group_blocks;
-    s.last_block = std::min(nblocks, s.first_block + group_blocks);
-    s.payload_begin = off;
-    for (size_t b = s.first_block; b < s.last_block; ++b) {
-      const std::uint8_t lb = stream[lengths_offset() + b];
-      if (!valid_length_byte(lb)) {
-        throw format_error("checksum_group_spans: invalid length byte");
-      }
-      off += block_payload_bytes(lb, h.block_len, h.zero_block_bypass());
-    }
-    s.payload_end = off;
-    spans.push_back(s);
+  if (group_blocks == 0) return {};
+  const LengthScan scan =
+      scan_lengths(stream.subspan(lengths_offset(), nblocks), h.block_len,
+                   h.zero_block_bypass(), group_blocks);
+  if (!scan.valid) {
+    throw format_error("checksum_group_spans: invalid length byte");
   }
-  if (off > stream.size()) {
+  const size_t base = payload_offset(nblocks);
+  if (base + scan.payload_bytes > stream.size()) {
     throw format_error("checksum_group_spans: truncated payload");
+  }
+  std::vector<GroupSpan> spans(scan.groups());
+  for (size_t g = 0; g < spans.size(); ++g) {
+    spans[g].first_block = g * group_blocks;
+    spans[g].last_block = std::min(nblocks, spans[g].first_block + group_blocks);
+    spans[g].payload_begin = base + scan.group_begin[g];
+    spans[g].payload_end = base + scan.group_end(g);
   }
   return spans;
 }
@@ -224,46 +335,37 @@ std::uint32_t checksum_group_crc(std::span<const byte_t> stream,
   return crc.value();
 }
 
-void verify_checksums(std::span<const byte_t> stream, const Header& h,
-                      size_t first_block, size_t last_block) {
-  if (!h.checksummed()) return;
-  const size_t nblocks = num_blocks(h.num_elements, h.block_len);
-  // Footer location from the prefix sum over all length bytes (any
-  // tampered length byte shifts it, which the footer magic/CRC catches).
-  size_t footer_off = payload_offset(nblocks);
-  if (stream.size() < footer_off) {
-    throw format_error("verify_checksums: truncated length area");
+void verify_footer(std::span<const byte_t> footer_bytes, const Header& h,
+                   std::span<const byte_t> lengths, const LengthScan& scan,
+                   std::span<const byte_t> payload,
+                   std::uint64_t payload_start, size_t first_group,
+                   size_t last_group) {
+  const ChecksumFooter footer = ChecksumFooter::deserialize(footer_bytes);
+  if (footer.group_blocks != h.checksum_group_blocks ||
+      footer.group_blocks != scan.group_blocks) {
+    throw format_error("verify_footer: group size disagrees with header");
   }
-  for (size_t b = 0; b < nblocks; ++b) {
-    const std::uint8_t lb = stream[lengths_offset() + b];
-    if (!valid_length_byte(lb)) {
-      throw format_error("verify_checksums: invalid length byte");
+  if (footer.crcs.size() != scan.groups()) {
+    throw format_error("verify_footer: group count mismatch");
+  }
+  for (size_t g = first_group; g < last_group; ++g) {
+    const std::uint64_t begin = scan.group_begin[g];
+    const std::uint64_t end = scan.group_end(g);
+    if (footer.offsets[g] != begin) {
+      throw format_error("verify_footer: group offset mismatch");
     }
-    footer_off += block_payload_bytes(lb, h.block_len, h.zero_block_bypass());
-  }
-  if (footer_off > stream.size()) {
-    throw format_error("verify_checksums: truncated payload");
-  }
-  const ChecksumFooter footer =
-      ChecksumFooter::deserialize(stream.subspan(footer_off));
-  if (footer.group_blocks != h.checksum_group_blocks) {
-    throw format_error("verify_checksums: group size disagrees with header");
-  }
-  if (footer.crcs.size() !=
-      num_checksum_groups(nblocks, footer.group_blocks)) {
-    throw format_error("verify_checksums: group count mismatch");
-  }
-  const auto spans = checksum_group_spans(stream, h, footer.group_blocks);
-  const size_t payload_base = payload_offset(nblocks);
-  for (size_t g = 0; g < spans.size(); ++g) {
-    if (spans[g].last_block <= first_block || spans[g].first_block >= last_block) {
-      continue;  // outside the requested block range
+    if (begin < payload_start || end - payload_start > payload.size()) {
+      throw format_error("verify_footer: payload window misses group " +
+                         std::to_string(g));
     }
-    if (footer.offsets[g] != spans[g].payload_begin - payload_base) {
-      throw format_error("verify_checksums: group offset mismatch");
-    }
-    if (footer.crcs[g] != checksum_group_crc(stream, spans[g])) {
-      throw format_error("verify_checksums: checksum mismatch in group " +
+    const size_t first_block = g * scan.group_blocks;
+    Crc32c crc;
+    crc.update(lengths.subspan(
+        first_block,
+        std::min<size_t>(scan.group_blocks, lengths.size() - first_block)));
+    crc.update(payload.subspan(begin - payload_start, end - begin));
+    if (footer.crcs[g] != crc.value()) {
+      throw format_error("verify_footer: checksum mismatch in group " +
                          std::to_string(g));
     }
   }
@@ -277,23 +379,15 @@ StreamStats inspect_stream(std::span<const byte_t> stream) {
   if (stream.size() < payload_offset(s.num_blocks)) {
     throw format_error("inspect_stream: truncated length area");
   }
-  double f_sum = 0;
-  for (size_t b = 0; b < s.num_blocks; ++b) {
-    const std::uint8_t lb = stream[lengths_offset() + b];
-    if (!valid_length_byte(lb)) {
-      throw format_error("inspect_stream: invalid length byte");
-    }
-    if (lb == 0) {
-      ++s.zero_blocks;
-    } else if (lb >= kOutlierFlag) {
-      ++s.outlier_blocks;
-      f_sum += lb - kOutlierFlag;
-    } else {
-      f_sum += lb;
-    }
-    s.payload_bytes += block_payload_bytes(lb, h.block_len,
-                                           h.zero_block_bypass());
+  const LengthScan scan =
+      scan_lengths(stream.subspan(lengths_offset(), s.num_blocks),
+                   h.block_len, h.zero_block_bypass(), scan_group_blocks(h));
+  if (!scan.valid) {
+    throw format_error("inspect_stream: invalid length byte");
   }
+  s.zero_blocks = scan.zero_blocks;
+  s.outlier_blocks = scan.outlier_blocks;
+  s.payload_bytes = scan.payload_bytes;
   if (h.checksummed()) {
     const size_t footer_off = payload_offset(s.num_blocks) + s.payload_bytes;
     if (footer_off > stream.size()) {
@@ -305,7 +399,10 @@ StreamStats inspect_stream(std::span<const byte_t> stream) {
     s.checksum_groups = footer.crcs.size();
   }
   const size_t nonzero = s.num_blocks - s.zero_blocks;
-  s.mean_fixed_length = nonzero > 0 ? f_sum / static_cast<double>(nonzero) : 0;
+  s.mean_fixed_length =
+      nonzero > 0 ? static_cast<double>(scan.fixed_length_sum) /
+                        static_cast<double>(nonzero)
+                  : 0;
   return s;
 }
 

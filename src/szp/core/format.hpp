@@ -163,6 +163,49 @@ struct ChecksumFooter {
   [[nodiscard]] static ChecksumFooter deserialize(std::span<const byte_t> in);
 };
 
+// ------------------------------------------------------ length scan ----
+
+/// One validating pass over a stream's length bytes, summed per group of
+/// `group_blocks` blocks: the prefix sum that locates every payload, the
+/// checksum groups and the footer. A group's payload is
+///   (L/8) * (sum of F + blocks that store a sign map) + 5 * outlier blocks
+/// (Eq. 2 plus the outlier record), so the pass needs only per-byte counts,
+/// which it keeps in narrow per-lane counters the compiler vectorizes.
+/// Every field but `valid` is meaningful only when `valid` is true.
+struct LengthScan {
+  bool valid = true;  // every byte is one an encoder can emit
+  unsigned block_len = 0;
+  bool zero_bypass = true;
+  unsigned group_blocks = 0;
+  std::vector<std::uint64_t> group_begin;  // payload-relative group starts
+  std::uint64_t payload_bytes = 0;         // payload of all blocks
+  size_t zero_blocks = 0;                  // length byte 0
+  size_t outlier_blocks = 0;               // length byte 64..96
+  std::uint64_t fixed_length_sum = 0;      // sum of F over all blocks
+
+  [[nodiscard]] size_t groups() const { return group_begin.size(); }
+  /// Payload-relative end of group `g`.
+  [[nodiscard]] std::uint64_t group_end(size_t g) const {
+    return g + 1 < group_begin.size() ? group_begin[g + 1] : payload_bytes;
+  }
+  /// Payload-relative start of `block` (the end of the payload for
+  /// block == lengths.size()): its group's start plus the blocks before it
+  /// in that group, so it reads fewer than `group_blocks` length bytes.
+  [[nodiscard]] std::uint64_t block_offset(std::span<const byte_t> lengths,
+                                           size_t block) const;
+};
+
+/// Scan `lengths` (one byte per block) in groups of `group_blocks` > 0.
+[[nodiscard]] LengthScan scan_lengths(std::span<const byte_t> lengths,
+                                      unsigned block_len, bool zero_bypass,
+                                      unsigned group_blocks);
+
+/// Group size a reader scans a stream with: the checksum group on v2, so
+/// the scan's groups are the footer's; a fixed size on v1.
+[[nodiscard]] inline unsigned scan_group_blocks(const Header& h) {
+  return h.checksummed() ? h.checksum_group_blocks : kChecksumGroupBlocks;
+}
+
 /// Byte extents of one checksum group within a laid-out stream.
 struct GroupSpan {
   size_t first_block = 0, last_block = 0;      // block indices [first, last)
@@ -179,13 +222,17 @@ struct GroupSpan {
 [[nodiscard]] std::uint32_t checksum_group_crc(std::span<const byte_t> stream,
                                                const GroupSpan& g);
 
-/// Verify a v2 stream's checksum footer (header must already be parsed):
-/// footer location and self-CRC, group bookkeeping consistency, and the
-/// CRCs of every group intersecting blocks [first_block, last_block).
-/// Throws format_error on any mismatch; no-op for v1 headers.
-void verify_checksums(std::span<const byte_t> stream, const Header& h,
-                      size_t first_block = 0,
-                      size_t last_block = static_cast<size_t>(-1));
+/// Check a v2 checksum footer against a length scan made with the header's
+/// group size: the footer's self-CRC, its group size and count, then the
+/// payload offset and CRC of every group in [first_group, last_group).
+/// `footer` starts where the scan puts the footer; `payload` is a window of
+/// the payload area that starts `payload_start` bytes into it and must hold
+/// those groups. Throws format_error on any mismatch.
+void verify_footer(std::span<const byte_t> footer, const Header& h,
+                   std::span<const byte_t> lengths, const LengthScan& scan,
+                   std::span<const byte_t> payload,
+                   std::uint64_t payload_start, size_t first_group,
+                   size_t last_group);
 
 /// Summary of a compressed stream, for tests and benches.
 struct StreamStats {

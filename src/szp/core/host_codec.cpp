@@ -186,29 +186,27 @@ std::vector<T> decompress_impl(std::span<const byte_t> stream, Executor& exec,
     throw format_error("decompress: truncated length area");
   }
 
-  // Rebuild offsets with the same prefix sum the compressor used.
-  scratch.offsets.resize(nblocks);
-  std::uint64_t total = 0;
+  // One pass over the length bytes rebuilds the compressor's prefix sum at
+  // group granularity; each chunk derives its own block offsets from it.
+  const auto lengths = stream.subspan(lengths_offset(), nblocks);
+  LengthScan scan;
   {
     const hostprof::ScopedTimer gs(hostprof::Bucket::kGS);
-    for (size_t b = 0; b < nblocks; ++b) {
-      const std::uint8_t lb = stream[lengths_offset() + b];
-      if (!valid_length_byte(lb)) {
-        throw format_error("decompress: invalid length byte");
-      }
-      scratch.offsets[b] = total;
-      total += block_payload_bytes(lb, L, h.zero_block_bypass());
-    }
+    scan = scan_lengths(lengths, L, h.zero_block_bypass(),
+                        scan_group_blocks(h));
   }
+  if (!scan.valid) throw format_error("decompress: invalid length byte");
   const size_t base = payload_offset(nblocks);
-  if (stream.size() < base + total) {
+  if (stream.size() < base + scan.payload_bytes) {
     throw format_error("decompress: truncated payload");
   }
   // v2 streams are integrity-checked before any payload is interpreted;
   // a flipped bit fails here instead of dequantizing into garbage.
-  {
+  if (h.checksummed()) {
     const hostprof::ScopedTimer crc(hostprof::Bucket::kChecksum);
-    verify_checksums(stream, h);
+    verify_footer(stream.subspan(base + scan.payload_bytes), h, lengths, scan,
+                  stream.subspan(base, scan.payload_bytes), 0, 0,
+                  scan.groups());
   }
 
   std::vector<T> out(n, T{0});
@@ -219,17 +217,18 @@ std::vector<T> decompress_impl(std::span<const byte_t> stream, Executor& exec,
   exec.run(nchunks, [&](size_t c) {
     const BlockRange r = chunk_range(nblocks, nchunks, c);
     BlockScratch& bs = scratch.chunks[c].block;
+    size_t off = base + scan.block_offset(lengths, r.begin);
     for (size_t b = r.begin; b < r.end; ++b) {
       const size_t begin = b * L;
       const size_t len = std::min<size_t>(L, n - begin);
-      const std::uint8_t lb = stream[lengths_offset() + b];
+      const std::uint8_t lb = lengths[b];
       const size_t cl = block_payload_bytes(lb, L, h.zero_block_bypass());
       if (cl == 0) continue;  // zero block: out is pre-zeroed
       // BB covers undoing the payload packing; QP covers the prediction
       // inverse and dequantize — the mirror of the compress-side split.
       hostprof::SplitTimer stage(hostprof::Bucket::kBB);
-      read_block_payload(stream.subspan(base + scratch.offsets[b], cl), lb, L,
-                         h.bit_shuffle(), bs);
+      read_block_payload(stream.subspan(off, cl), lb, L, h.bit_shuffle(), bs);
+      off += cl;
       stage.split(hostprof::Bucket::kQP);
       reconstruct_block(bs, h, 0, std::span(out).subspan(begin, len));
     }

@@ -52,7 +52,6 @@ struct HostScratch {
   std::vector<Chunk> chunks;
   std::vector<std::uint64_t> chunk_bytes;   // pass-1 payload total per chunk
   std::vector<std::uint64_t> chunk_offset;  // exclusive scan of chunk_bytes
-  std::vector<std::uint64_t> offsets;       // per-block payload offsets (decode)
 };
 
 /// Largest value range helper (REL-mode resolution); 0 for empty data.

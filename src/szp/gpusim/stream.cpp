@@ -308,12 +308,14 @@ void Stream::thread_loop() {
       if (!error_) error_ = std::current_exception();
       poisoned_ = true;
     }
+    // Retire the device-wide pending count before publishing the
+    // completion: a synchronize() woken by it must already read zero.
+    dev_.sub_async_pending();
     {
       const LockGuard lock(m_);
       ++completed_;
     }
     drained_cv_.notify_all();
-    dev_.sub_async_pending();
   }
 }
 

@@ -188,15 +188,11 @@ DecodeReport try_decode_impl(std::span<const byte_t> stream,
 
   // ---- v2: verify and decode group by group, re-aligning from the
   // footer's per-group payload offsets after any corrupt group.
-  size_t computed_off = base;
-  for (size_t b = 0; b < nblocks; ++b) {
-    const std::uint8_t lb = stream[core::lengths_offset() + b];
-    if (!core::valid_length_byte(lb)) {
-      computed_off = static_cast<size_t>(-1);
-      break;
-    }
-    computed_off += block_bytes(lb);
-  }
+  const core::LengthScan scan = core::scan_lengths(
+      stream.subspan(core::lengths_offset(), nblocks), L,
+      h.zero_block_bypass(), h.checksum_group_blocks);
+  const size_t computed_off =
+      scan.valid ? base + scan.payload_bytes : static_cast<size_t>(-1);
 
   size_t footer_off = 0;
   const auto footer = find_footer(stream, base, computed_off, footer_off);

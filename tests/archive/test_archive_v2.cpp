@@ -8,6 +8,7 @@
 
 #include "szp/archive/archive_v2.hpp"
 #include "szp/archive/layout.hpp"
+#include "szp/core/random_access.hpp"
 #include "szp/data/registry.hpp"
 #include "szp/metrics/error.hpp"
 #include "szp/robust/io.hpp"
@@ -244,6 +245,177 @@ TEST(ArchiveV2, MissingShardFailsExtractionNotOpen) {
   const auto rep = r.try_extract(0, out);
   EXPECT_FALSE(rep.ok());
   EXPECT_TRUE(out.values.empty());
+}
+
+// ------------------------------------------------- range read checks ----
+
+/// A field with zero blocks, smooth blocks and a spike at the end of every
+/// third L-element block (one large value per block is what outlier mode
+/// records as an outlier).
+data::Field mixed_field(size_t n, unsigned L) {
+  data::Field f;
+  f.name = "mixed";
+  f.dims.extents = {n};
+  f.values.resize(n);
+  Rng rng(n);
+  for (size_t i = 0; i < n; ++i) {
+    const size_t region = i * 5 / n;
+    if (region == 1) continue;  // zeros
+    f.values[i] = static_cast<float>(std::sin(0.01 * static_cast<double>(i)) +
+                                     rng.normal() * 0.01);
+    if (i % L == L - 1 && i / L % 3 == 0) f.values[i] += 50.0f;
+  }
+  return f;
+}
+
+/// The entry's stream bytes inside its shard file, for in-place damage.
+std::span<byte_t> stored_stream(robust::MemFs& fs, const ArchiveReader& r,
+                                size_t i) {
+  const EntryInfo& e = r.entries()[i];
+  auto* file = fs.find(layout::shard_path(
+      "arc", r.index().shards[e.shard_index].file_name()));
+  EXPECT_NE(file, nullptr);
+  return std::span(*file).subspan(layout::kShardHeaderBytes + e.offset,
+                                  e.stream_bytes);
+}
+
+/// An archive holding one mixed field compressed with `p`.
+void write_mixed(robust::MemFs& fs, const core::Params& p, size_t n) {
+  WriterOptions o;
+  o.params = p;
+  ArchiveWriter w(fs, "arc", o);
+  w.add(mixed_field(n, p.block_len));
+  w.commit();
+}
+
+core::Params grouped_params(unsigned L, unsigned group_blocks) {
+  core::Params p;
+  p.mode = core::ErrorMode::kAbs;
+  p.error_bound = 1e-3;
+  p.block_len = L;
+  p.checksum_group_blocks = group_blocks;
+  return p;
+}
+
+TEST(ArchiveV2Range, MatchesCoreRangeAndFullDecodeAcrossFormats) {
+  // 7-block groups over 39 blocks: the last group is partial, the last
+  // block is a tail block.
+  constexpr unsigned kGroup = 7;
+  for (const unsigned L : {8u, 32u, 256u}) {
+    const size_t n = 38 * size_t{L} + 5;
+    for (const unsigned gb : {0u, kGroup}) {
+      for (const bool outlier : {false, true}) {
+        for (const bool bypass : {true, false}) {
+          core::Params p = grouped_params(L, gb);
+          p.outlier_mode = outlier;
+          p.zero_block_bypass = bypass;
+          robust::MemFs fs;
+          write_mixed(fs, p, n);
+          ArchiveReader r(fs, "arc");
+          const auto full = r.extract(0).values;
+          const auto stream = r.read_stream(0);
+          // The grid only means something if the streams hold what it
+          // varies: zero blocks, and outlier blocks in outlier mode.
+          const auto stats = core::inspect_stream(stream);
+          ASSERT_EQ(stats.num_blocks, 39u);
+          ASSERT_GT(stats.zero_blocks, 0u);
+          ASSERT_EQ(stats.outlier_blocks > 0, outlier);
+          ASSERT_EQ(stats.checksum_groups, gb == 0 ? 0u : 6u);
+          const size_t g = kGroup * size_t{L};  // elements per group
+          const std::vector<std::pair<size_t, size_t>> ranges = {
+              {0, n},         {0, 0},         {n, n},
+              {g, g},         {g, 2 * g},     {g - 1, g + 1},
+              {0, g},         {2 * g, 5 * g}, {n - 1, n},
+              {n - L - 3, n}, {5 * g, n},     {3, 5}};
+          for (const auto& [b, e] : ranges) {
+            const std::string what =
+                "L " + std::to_string(L) + " gb " + std::to_string(gb) +
+                " outlier " + std::to_string(outlier) + " bypass " +
+                std::to_string(bypass) + " [" + std::to_string(b) + ", " +
+                std::to_string(e) + ")";
+            const std::vector<float> want(full.begin() + b, full.begin() + e);
+            ASSERT_EQ(core::decompress_range(stream, b, e), want) << what;
+            ASSERT_EQ(r.extract_range(0, b, e), want) << what;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(ArchiveV2Range, CorruptLengthByteOutsideRangeThrows) {
+  constexpr unsigned L = 32;
+  const size_t n = 160 * L;
+  for (const unsigned gb : {0u, 16u}) {
+    robust::MemFs fs;
+    write_mixed(fs, grouped_params(L, gb), n);
+    ArchiveReader r(fs, "arc");
+    ASSERT_NO_THROW((void)r.extract_range(0, 0, 100));
+    auto stream = stored_stream(fs, r, 0);
+    // Block 150 lies far outside the queried first group.
+    stream[core::lengths_offset() + 150] = 0xC7;
+    EXPECT_THROW((void)r.extract_range(0, 0, 100), format_error) << gb;
+    const std::vector<byte_t> copy(stream.begin(), stream.end());
+    EXPECT_THROW((void)core::decompress_range(copy, 0, 100), format_error);
+  }
+}
+
+TEST(ArchiveV2Range, ValidButWrongLengthByteOutsideRangeThrows) {
+  // A legal value that changes the block's size moves where the prefix sum
+  // puts the footer, which the footer checks then reject.
+  constexpr unsigned L = 32;
+  robust::MemFs fs;
+  write_mixed(fs, grouped_params(L, 16), 160 * L);
+  ArchiveReader r(fs, "arc");
+  auto stream = stored_stream(fs, r, 0);
+  auto& lb = stream[core::lengths_offset() + 150];
+  lb = lb == 5 ? 6 : 5;
+  EXPECT_THROW((void)r.extract_range(0, 0, 100), format_error);
+}
+
+TEST(ArchiveV2Range, TamperedFooterOffsetOfCoveringGroupThrows) {
+  constexpr unsigned L = 32, kGroup = 16;
+  robust::MemFs fs;
+  write_mixed(fs, grouped_params(L, kGroup), 160 * L);
+  ArchiveReader r(fs, "arc");
+  auto stream = stored_stream(fs, r, 0);
+  const auto stats = core::inspect_stream(stream);
+  const auto footer_bytes =
+      stream.subspan(core::payload_offset(stats.num_blocks) +
+                     stats.payload_bytes);
+  auto footer = core::ChecksumFooter::deserialize(footer_bytes);
+  footer.offsets[3] += 1;
+  footer.serialize(footer_bytes);  // self-CRC stays valid
+  const size_t in_group3 = 3 * kGroup * L + 10;
+  EXPECT_THROW((void)r.extract_range(0, in_group3, in_group3 + 40),
+               format_error);
+  const std::vector<byte_t> copy(stream.begin(), stream.end());
+  EXPECT_THROW((void)core::decompress_range(copy, in_group3, in_group3 + 40),
+               format_error);
+}
+
+TEST(ArchiveV2Range, CorruptPayloadOutsideCoveringGroupsKeepsLocality) {
+  constexpr unsigned L = 32, kGroup = 16;
+  const size_t n = 160 * L;
+  robust::MemFs fs;
+  write_mixed(fs, grouped_params(L, kGroup), n);
+  ArchiveReader r(fs, "arc");
+  const auto full = r.extract(0).values;
+  auto stream = stored_stream(fs, r, 0);
+  const auto h = core::Header::deserialize(stream);
+  const auto spans = core::checksum_group_spans(stream, h, kGroup);
+  ASSERT_GT(spans[8].payload_end, spans[8].payload_begin);
+  stream[spans[8].payload_begin] ^= 0x5A;
+
+  // Group 0 is untouched: its range still reads, exactly.
+  const std::vector<float> want(full.begin(), full.begin() + 100);
+  EXPECT_EQ(r.extract_range(0, 0, 100), want);
+  const std::vector<byte_t> copy(stream.begin(), stream.end());
+  EXPECT_EQ(core::decompress_range(copy, 0, 100), want);
+  // A range covering group 8 sees the damage.
+  const size_t in_group8 = 8 * kGroup * L;
+  EXPECT_THROW((void)r.extract_range(0, in_group8, in_group8 + 1),
+               format_error);
 }
 
 }  // namespace

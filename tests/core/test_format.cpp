@@ -2,6 +2,7 @@
 // inspection, and robustness against malformed inputs.
 #include <gtest/gtest.h>
 
+#include "szp/core/block_codec.hpp"
 #include "szp/core/format.hpp"
 #include "szp/core/serial.hpp"
 #include "szp/util/rng.hpp"
@@ -147,6 +148,117 @@ TEST(Format, StreamSizeMatchesInspectAccounting) {
   EXPECT_EQ(stats.version, Header::kVersion);
   EXPECT_EQ(stats.checksum_groups,
             num_checksum_groups(stats.num_blocks, kChecksumGroupBlocks));
+}
+
+// ------------------------------------------------------- length scan ----
+
+/// Scalar reference for scan_lengths, one byte at a time.
+struct ScanReference {
+  bool valid = true;
+  std::vector<std::uint64_t> group_begin;
+  std::uint64_t payload_bytes = 0;
+  size_t zero_blocks = 0, outlier_blocks = 0;
+  std::uint64_t fixed_length_sum = 0;
+};
+
+ScanReference scan_reference(std::span<const byte_t> lengths, unsigned L,
+                             bool bypass, unsigned group_blocks) {
+  ScanReference r;
+  for (size_t b = 0; b < lengths.size(); ++b) {
+    if (b % group_blocks == 0) r.group_begin.push_back(r.payload_bytes);
+    const std::uint8_t lb = lengths[b];
+    if (!valid_length_byte(lb)) {
+      r.valid = false;
+      continue;
+    }
+    r.payload_bytes += block_payload_bytes(lb, L, bypass);
+    r.zero_blocks += lb == 0;
+    r.outlier_blocks += lb >= kOutlierFlag;
+    r.fixed_length_sum += lb >= kOutlierFlag ? lb - kOutlierFlag : lb;
+  }
+  return r;
+}
+
+void expect_scan_matches(std::span<const byte_t> lengths, unsigned L,
+                         bool bypass, unsigned group_blocks,
+                         const std::string& what) {
+  const ScanReference want = scan_reference(lengths, L, bypass, group_blocks);
+  const LengthScan got = scan_lengths(lengths, L, bypass, group_blocks);
+  ASSERT_EQ(got.valid, want.valid) << what;
+  ASSERT_EQ(got.groups(), want.group_begin.size()) << what;
+  if (!want.valid) return;
+  EXPECT_EQ(got.group_begin, want.group_begin) << what;
+  EXPECT_EQ(got.payload_bytes, want.payload_bytes) << what;
+  EXPECT_EQ(got.zero_blocks, want.zero_blocks) << what;
+  EXPECT_EQ(got.outlier_blocks, want.outlier_blocks) << what;
+  EXPECT_EQ(got.fixed_length_sum, want.fixed_length_sum) << what;
+  for (size_t b = 0; b <= lengths.size(); b += 7) {
+    std::uint64_t off = 0;
+    for (size_t k = 0; k < b; ++k) {
+      off += block_payload_bytes(lengths[k], L, bypass);
+    }
+    ASSERT_EQ(got.block_offset(lengths, b), off) << what << " block " << b;
+  }
+  EXPECT_EQ(got.block_offset(lengths, lengths.size()), want.payload_bytes);
+}
+
+TEST(LengthScan, EveryByteValueAloneAndAmongValidBytes) {
+  // Each of the 256 byte values, placed at every position class of a
+  // vector tile (lane, row, tail) inside otherwise valid groups.
+  Rng rng(17);
+  for (unsigned v = 0; v < 256; ++v) {
+    for (const size_t n : {size_t{1}, size_t{63}, size_t{64}, size_t{200}}) {
+      std::vector<byte_t> lengths(n);
+      for (auto& lb : lengths) {
+        lb = static_cast<byte_t>(rng.next_below(33) +
+                                 (rng.next_below(4) == 0 ? kOutlierFlag : 0));
+      }
+      lengths[rng.next_below(n)] = static_cast<byte_t>(v);
+      for (const bool bypass : {true, false}) {
+        for (const unsigned gb : {1u, 5u, 64u, 256u}) {
+          expect_scan_matches(lengths, 32, bypass, gb,
+                              "byte " + std::to_string(v) + " n " +
+                                  std::to_string(n) + " bypass " +
+                                  std::to_string(bypass) + " gb " +
+                                  std::to_string(gb));
+        }
+      }
+    }
+  }
+}
+
+TEST(LengthScan, PartialLastGroupsAndBlockLengths) {
+  Rng rng(99);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{255}, size_t{257},
+                         size_t{1000}, size_t{4099}}) {
+    std::vector<byte_t> lengths(n);
+    for (auto& lb : lengths) {
+      // Mostly zero or small F, some maxed and outlier blocks: sums that
+      // would wrap a byte lane if the tile were too tall.
+      const auto pick = rng.next_below(8);
+      lb = static_cast<byte_t>(pick < 3   ? 0
+                               : pick < 5 ? 32
+                               : pick < 6 ? kOutlierFlag + 32
+                                          : rng.next_below(97));
+      if (!valid_length_byte(lb)) lb = 7;
+    }
+    for (const unsigned L : {8u, 32u, 256u}) {
+      for (const bool bypass : {true, false}) {
+        for (const unsigned gb : {3u, 100u, 256u, 65535u}) {
+          expect_scan_matches(lengths, L, bypass, gb,
+                              "n " + std::to_string(n) + " L " +
+                                  std::to_string(L) + " gb " +
+                                  std::to_string(gb));
+        }
+      }
+    }
+  }
+}
+
+TEST(LengthScan, RejectsZeroGroupSize) {
+  const std::vector<byte_t> lengths(4, 1);
+  EXPECT_THROW((void)scan_lengths(lengths, 32, true, 0),
+               std::invalid_argument);
 }
 
 }  // namespace

@@ -164,6 +164,23 @@ TEST(Device, SynchronizeDrainsEveryStreamAndRethrows) {
   EXPECT_THROW(dev.synchronize(), format_error);
 }
 
+TEST(Device, SynchronizeLeavesNoPendingOpsEveryTime) {
+  // A stream thread must retire the device-wide pending count before it
+  // publishes the completion that wakes synchronize(); otherwise the count
+  // can still read nonzero right after synchronize() returns.
+  Device dev(1);
+  Stream a(dev);
+  Stream b(dev);
+  std::atomic<int> n{0};
+  for (int i = 0; i < 300; ++i) {
+    a.host_task("x", [&] { n.fetch_add(1); });
+    b.host_task("y", [&] { n.fetch_add(1); });
+    dev.synchronize();
+    ASSERT_EQ(dev.async_ops_pending(), 0u) << "iteration " << i;
+  }
+  EXPECT_EQ(n.load(), 600);
+}
+
 TEST(Device, SnapshotThrowsWhileAsyncOpsPending) {
   Device dev(1);
   Stream s(dev);
